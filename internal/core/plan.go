@@ -33,8 +33,7 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 	}
 
 	if StableUnderRemoval(policy, pending) {
-		ordered := RankOrder(policy, now, pending)
-		return ordered[:n], 1
+		return topStarts(policy.Priorities(now, pending), pending, n), 1
 	}
 
 	// Unstable path: re-rank the surviving set before each start. The
@@ -57,4 +56,61 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 		rest = append(rest[:best], rest[best+1:]...)
 	}
 	return starts, rankOps
+}
+
+// topStarts returns the best k of pending under RankOrder's total order —
+// priority descending, then ID ascending, then input position — best
+// first: exactly RankOrder(...)[:k] for these priorities. A max-heap of
+// the k best seen so far, worst at the root, screens each task in
+// O(log k); the heap is then drained worst-first into the result's tail.
+func topStarts(prios []float64, pending []*task.Task, k int) []*task.Task {
+	// before reports whether pending[a] ranks ahead of pending[b].
+	before := func(a, b int) bool {
+		if prios[a] != prios[b] {
+			return prios[a] > prios[b]
+		}
+		if pending[a].ID != pending[b].ID {
+			return pending[a].ID < pending[b].ID
+		}
+		return a < b
+	}
+	// down restores the heap below i, keeping the worst of h at the root.
+	down := func(h []int, i int) {
+		for {
+			l := 2*i + 1
+			if l >= len(h) {
+				return
+			}
+			m := l
+			if r := l + 1; r < len(h) && before(h[l], h[r]) {
+				m = r
+			}
+			if !before(h[i], h[m]) {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+
+	h := make([]int, k)
+	for i := range h {
+		h[i] = i
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(h, i)
+	}
+	for i := k; i < len(pending); i++ {
+		if before(i, h[0]) {
+			h[0] = i
+			down(h, 0)
+		}
+	}
+	out := make([]*task.Task, k)
+	for last := k - 1; last >= 0; last-- {
+		out[last] = pending[h[0]]
+		h[0] = h[last]
+		down(h[:last], 0)
+	}
+	return out
 }

@@ -176,7 +176,7 @@ func TestWithTaskMatchesRebuild(t *testing.T) {
 					t.Fatalf("%s probe %d: incremental slot [%g, %g], rebuild [%g, %g]",
 						p.Name(), pr.ID, ins.Slot.Start, ins.Slot.Completion, slot.Start, slot.Completion)
 				}
-				if want := rebuilt.index[pr.ID]; ins.Pos != want {
+				if want := rebuilt.find(pr.ID); ins.Pos != want {
 					t.Fatalf("%s probe %d: Pos %d, rebuild rank %d", p.Name(), pr.ID, ins.Pos, want)
 				}
 			}

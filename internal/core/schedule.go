@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/pqueue"
 	"repro/internal/task"
 )
 
@@ -35,7 +34,6 @@ func (s Slot) ExpectedYield() float64 {
 type Candidate struct {
 	Now   float64
 	Slots []Slot // in expected start order
-	index map[task.ID]int
 
 	// Incremental-evaluation context. policy is nil for candidates built
 	// without it (internal ScheduledPrice refinement rounds), which makes
@@ -110,50 +108,77 @@ func (c *Candidate) WithTask(t *task.Task) (Insertion, bool) {
 	})
 
 	// Replay list-scheduling of the slots ahead of t to find the
-	// earliest-free processor at its turn. Heap pops are by value, so the
+	// earliest-free processor at its turn. Claims go by value, so the
 	// replayed start times match a full rebuild exactly.
-	free := pqueue.New(func(a, b float64) bool { return a < b })
-	for _, b := range c.busy {
-		free.Push(math.Max(b, c.Now))
-	}
-	procs := c.procs
-	if procs < 1 {
-		procs = 1
-	}
-	for i := len(c.busy); i < procs; i++ {
-		free.Push(c.Now)
-	}
+	free := newFreeTimes(c.Now, c.procs, c.busy)
 	for _, s := range c.Slots[:pos] {
-		at := free.Pop().Value
-		free.Push(at + s.Task.RPT)
+		free.claim(s.Task.RPT)
 	}
-	at := free.Pop().Value
+	at := free[0]
 	return Insertion{Slot: Slot{Task: t, Start: at, Completion: at + t.RPT}, Pos: pos}, true
 }
 
 // buildCandidateOrdered list-schedules an explicit dispatch order onto the
 // processors.
 func buildCandidateOrdered(now float64, procs int, busyUntil []float64, ordered []*task.Task) *Candidate {
+	free := newFreeTimes(now, procs, busyUntil)
+	c := &Candidate{Now: now, Slots: make([]Slot, len(ordered))}
+	for i, t := range ordered {
+		at := free.claim(t.RPT)
+		c.Slots[i] = Slot{Task: t, Start: at, Completion: at + t.RPT}
+	}
+	return c
+}
+
+// freeTimes is a binary min-heap of processor free times, kept in place in
+// a plain slice so list-scheduling allocates once per schedule.
+type freeTimes []float64
+
+// newFreeTimes holds one entry per busy processor (its free time, clamped
+// to now) and one at now per idle processor up to procs (at least 1).
+func newFreeTimes(now float64, procs int, busyUntil []float64) freeTimes {
 	if procs < 1 {
 		procs = 1
 	}
-	free := pqueue.New(func(a, b float64) bool { return a < b })
-	for _, t := range busyUntil {
-		free.Push(math.Max(t, now))
+	h := make(freeTimes, 0, max(procs, len(busyUntil)))
+	for _, b := range busyUntil {
+		h = append(h, math.Max(b, now))
 	}
-	for i := len(busyUntil); i < procs; i++ {
-		free.Push(now)
+	for len(h) < procs {
+		h = append(h, now)
 	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
 
-	c := &Candidate{Now: now, Slots: make([]Slot, 0, len(ordered)), index: make(map[task.ID]int, len(ordered))}
-	for _, t := range ordered {
-		at := free.Pop().Value
-		done := at + t.RPT
-		free.Push(done)
-		c.index[t.ID] = len(c.Slots)
-		c.Slots = append(c.Slots, Slot{Task: t, Start: at, Completion: done})
+// claim assigns work of length rpt to the earliest-free processor and
+// returns the time it starts. Replacing the root and sifting it down pops
+// and pushes the same values as a separate Pop then Push would.
+func (h freeTimes) claim(rpt float64) float64 {
+	at := h[0]
+	h[0] = at + rpt
+	h.down(0)
+	return at
+}
+
+func (h freeTimes) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[r] < h[l] {
+			m = r
+		}
+		if !(h[m] < h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
-	return c
 }
 
 // RankOrder returns the pending tasks sorted by the policy's priorities,
@@ -188,10 +213,11 @@ func rankWithPriorities(policy Policy, now float64, pending []*task.Task) ([]*ta
 	return out, outPrios
 }
 
-// Slot returns the slot for a task, if present.
+// Slot returns the slot for a task, if present. With duplicate IDs it
+// returns the last such slot.
 func (c *Candidate) Slot(id task.ID) (Slot, bool) {
-	i, ok := c.index[id]
-	if !ok {
+	i := c.find(id)
+	if i < 0 {
 		return Slot{}, false
 	}
 	return c.Slots[i], true
@@ -201,8 +227,8 @@ func (c *Candidate) Slot(id task.ID) (Slot, bool) {
 // schedule — the tasks that accepting it would delay (Equation 8's
 // summation set).
 func (c *Candidate) Behind(id task.ID) []*task.Task {
-	i, ok := c.index[id]
-	if !ok {
+	i := c.find(id)
+	if i < 0 {
 		return nil
 	}
 	out := make([]*task.Task, 0, len(c.Slots)-i-1)
@@ -210,6 +236,17 @@ func (c *Candidate) Behind(id task.ID) []*task.Task {
 		out = append(out, s.Task)
 	}
 	return out
+}
+
+// find returns the position of the last slot holding id, or -1. A linear
+// scan suffices: its callers go on to walk the slots behind it anyway.
+func (c *Candidate) find(id task.ID) int {
+	for i := len(c.Slots) - 1; i >= 0; i-- {
+		if c.Slots[i].Task.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // TotalExpectedYield sums the expected yields across the schedule. It is

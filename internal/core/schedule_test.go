@@ -169,3 +169,38 @@ func TestEmptyCandidate(t *testing.T) {
 		t.Errorf("empty candidate misbehaves: %+v", c)
 	}
 }
+
+// TestBuildCandidateAllocs is the allocation guard on list-scheduling:
+// building a candidate costs the same small constant number of
+// allocations at any queue depth, and an incremental insertion at most
+// one (its processor heap). Skipped under the race detector, whose
+// instrumentation allocates.
+func TestBuildCandidateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by the race detector")
+	}
+	busy := []float64{1010, 1050, 1100, 1200}
+	for _, p := range []Policy{SWPT{}, FirstPrice{}, PresentValue{DiscountRate: 0.01}} {
+		var perDepth []float64
+		for _, n := range []int{100, 5000} {
+			pending := benchTasks(n, false)
+			perDepth = append(perDepth, testing.AllocsPerRun(20, func() {
+				BuildCandidate(p, 1000, 16, busy, pending)
+			}))
+			base := BuildCandidate(p, 1000, 16, busy, pending)
+			probe := benchTasks(n+1, false)[n]
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, ok := base.WithTask(probe); !ok {
+					t.Fatal("WithTask unsupported")
+				}
+			}); allocs > 1 {
+				t.Errorf("%s n=%d: WithTask allocates %.1f times per op, want ≤ 1", p.Name(), n, allocs)
+			}
+		}
+		if perDepth[0] != perDepth[1] || perDepth[0] > 12 {
+			t.Errorf("%s: BuildCandidate allocates %.1f times at n=100 and %.1f at n=5000, want one constant ≤ 12",
+				p.Name(), perDepth[0], perDepth[1])
+		}
+		t.Logf("%s: BuildCandidate %.0f allocs per op", p.Name(), perDepth[0])
+	}
+}

@@ -69,9 +69,8 @@ func (p ScheduledPrice) Priorities(now float64, tasks []*task.Task) []float64 {
 			ordered[pos] = tasks[idx]
 		}
 		cand := buildCandidateOrdered(now, p.effProcs(), nil, ordered)
-		for _, idx := range order {
-			slot, _ := cand.Slot(tasks[idx].ID)
-			prios[idx] = tasks[idx].YieldAtCompletion(slot.Completion) / tasks[idx].RPT
+		for pos, idx := range order {
+			prios[idx] = tasks[idx].YieldAtCompletion(cand.Slots[pos].Completion) / tasks[idx].RPT
 		}
 		p.sortByPriority(order, prios, tasks)
 	}

@@ -3,8 +3,6 @@ package site
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/task"
 )
 
 // Metrics accumulates a site's outcomes over a run. Yields are realized at
@@ -29,10 +27,6 @@ type Metrics struct {
 	RankOps     int // full priority-ranking passes across all dispatch events
 	QuoteBuilds int // candidate schedules built to answer quotes
 	QuoteReuses int // quotes answered from the cached base schedule
-
-	// CompletedTasks records every realized task outcome, including parked
-	// (penalty-realized) tasks, for per-task analysis.
-	CompletedTasks []*task.Task
 }
 
 // ActiveInterval returns the span from the first submission to the last

@@ -534,7 +534,6 @@ func (s *Site) recordOutcome(t *task.Task, now float64) {
 	} else {
 		s.metrics.LowClassYield += t.Yield
 	}
-	s.metrics.CompletedTasks = append(s.metrics.CompletedTasks, t)
 	for _, fn := range s.onComplete {
 		fn(t)
 	}

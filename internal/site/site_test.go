@@ -357,8 +357,8 @@ func TestPerClassYieldAccounting(t *testing.T) {
 	if m.AcceptedValue != 550 {
 		t.Errorf("accepted value = %v, want 550", m.AcceptedValue)
 	}
-	if len(m.CompletedTasks) != 2 {
-		t.Errorf("completed records = %d, want 2", len(m.CompletedTasks))
+	if m.Completed != 2 {
+		t.Errorf("completed = %d, want 2", m.Completed)
 	}
 }
 

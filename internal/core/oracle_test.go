@@ -95,8 +95,8 @@ func pqueueWithTask(c *Candidate, t *task.Task) (Insertion, bool) {
 		return Insertion{}, false
 	}
 	pos := sort.Search(len(c.Slots), func(i int) bool {
-		if key != c.prios[i] {
-			return key > c.prios[i]
+		if key != c.keys[i].prio {
+			return key > c.keys[i].prio
 		}
 		return t.ID < c.Slots[i].Task.ID
 	})
@@ -126,7 +126,7 @@ func (p oracleScheduledPrice) Priorities(now float64, tasks []*task.Task) []floa
 	for i, t := range tasks {
 		prios[i] = t.ExpectedYield(now) / t.RPT
 	}
-	p.sortByPriority(order, prios, tasks)
+	sortByPriority(order, prios, tasks)
 	for round := 0; round < p.effRounds(); round++ {
 		ordered := make([]*task.Task, n)
 		for pos, idx := range order {
@@ -137,9 +137,21 @@ func (p oracleScheduledPrice) Priorities(now float64, tasks []*task.Task) []floa
 			slot, _ := cand.slot(tasks[idx].ID)
 			prios[idx] = tasks[idx].YieldAtCompletion(slot.Completion) / tasks[idx].RPT
 		}
-		p.sortByPriority(order, prios, tasks)
+		sortByPriority(order, prios, tasks)
 	}
 	return prios
+}
+
+// sortByPriority is ScheduledPrice's former reorder step: a stable sort
+// of task indexes by descending priority with ID tie-breaks.
+func sortByPriority(order []int, prios []float64, tasks []*task.Task) {
+	sort.SliceStable(order, func(a, b int) bool {
+		pa, pb := prios[order[a]], prios[order[b]]
+		if pa != pb {
+			return pa > pb
+		}
+		return tasks[order[a]].ID < tasks[order[b]].ID
+	})
 }
 
 // bookKind names a family of random pending queues.

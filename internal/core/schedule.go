@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/task"
@@ -30,7 +31,9 @@ func (s Slot) ExpectedYield() float64 {
 // Candidates built by BuildCandidate retain enough context (policy,
 // processor state, per-slot priorities) to answer WithTask queries: the
 // slot a hypothetical extra task would occupy, computed incrementally
-// against this base schedule instead of rebuilding from scratch.
+// against this base schedule instead of rebuilding from scratch. They can
+// also be rebuilt in place for a later state of the same book (Rebuild),
+// re-ranking from their previous rank order.
 type Candidate struct {
 	Now   float64
 	Slots []Slot // in expected start order
@@ -40,9 +43,13 @@ type Candidate struct {
 	// WithTask report ok=false and callers fall back to a full rebuild.
 	policy Policy
 	procs  int
-	busy   []float64 // copy of the busyUntil passed to BuildCandidate
-	prios  []float64 // priority per slot, aligned with Slots
-	tasks  []*task.Task
+	busy   []float64    // copy of the busyUntil passed to BuildCandidate
+	keys   []rankKey    // the ranking, aligned with Slots: priority, ID, index into the ranked book
+	tasks  []*task.Task // the ranked tasks, aligned with Slots
+
+	// Rebuild scratch, kept between rebuilds.
+	at   []int     // per index of the previous book: its rank, then its index in the new book
+	free freeTimes // processor free times while list-scheduling
 }
 
 // BuildCandidate constructs a candidate schedule. busyUntil holds one entry
@@ -51,14 +58,65 @@ type Candidate struct {
 // is ranked by the policy and list-scheduled greedily: each task in
 // priority order claims the earliest-free processor.
 func BuildCandidate(policy Policy, now float64, procs int, busyUntil []float64, pending []*task.Task) *Candidate {
-	ordered, prios := rankWithPriorities(policy, now, pending)
-	c := buildCandidateOrdered(now, procs, busyUntil, ordered)
-	c.policy = policy
-	c.procs = procs
-	c.busy = append([]float64(nil), busyUntil...)
-	c.prios = prios
-	c.tasks = ordered
+	c := &Candidate{policy: policy}
+	c.Rebuild(now, procs, busyUntil, pending)
 	return c
+}
+
+// Rebuild makes c the candidate schedule BuildCandidate(policy, now, procs,
+// busyUntil, pending) would build, for c's policy, reusing c's storage. c
+// must come from BuildCandidate, and no earlier Slots of c may be in use:
+// Rebuild overwrites them.
+//
+// The result is exact for any pending, but the ranking starts from c's
+// previous rank order, so rebuilding for a later state of the same book
+// costs one priority pass plus a sort of an almost ranked sequence. The
+// start is best when pending changed from c's book only by
+// order-preserving removals and appends, as a site's queue does between
+// quotes. Apart from the priorities the policy returns, a rebuild
+// allocates only when the book or busyUntil outgrows c's storage.
+func (c *Candidate) Rebuild(now float64, procs int, busyUntil []float64, pending []*task.Task) {
+	c.warmStart(pending)
+	rankWithPriorities(c.keys, c.policy.Priorities(now, pending), pending)
+	c.tasks = resize(c.tasks, len(pending))
+	for i, k := range c.keys {
+		c.tasks[i] = pending[k.idx]
+	}
+	c.Now, c.procs = now, procs
+	c.busy = append(c.busy[:0], busyUntil...)
+	c.schedule()
+}
+
+// warmStart leaves in c.keys a permutation of pending's indexes to start
+// the ranking from: the tasks of c's book still in pending, in their old
+// rank order, then the rest in pending order. One walk over the old book
+// in book order pairs its tasks with pending's: a task that is not the
+// next unpaired task of pending is taken as removed. Pending changed by
+// order-preserving removals and appends pairs every survivor; any other
+// change pairs fewer, which only slows the sort.
+func (c *Candidate) warmStart(pending []*task.Task) {
+	c.at = resize(c.at, len(c.keys))
+	for r, k := range c.keys {
+		c.at[k.idx] = r
+	}
+	paired := 0
+	for i, r := range c.at {
+		c.at[i] = -1
+		if paired < len(pending) && c.tasks[r] == pending[paired] {
+			c.at[i] = paired
+			paired++
+		}
+	}
+	keys := slices.Grow(c.keys[:0], len(pending)) // fills in place when it fits: it never overtakes the reads
+	for _, k := range c.keys {
+		if j := c.at[k.idx]; j >= 0 {
+			keys = append(keys, rankKey{idx: j})
+		}
+	}
+	for j := paired; j < len(pending); j++ {
+		keys = append(keys, rankKey{idx: j})
+	}
+	c.keys = keys
 }
 
 // Insertion is the result of evaluating one extra task against a base
@@ -101,8 +159,8 @@ func (c *Candidate) WithTask(t *task.Task) (Insertion, bool) {
 	// applies. RankOrder's comparator is (priority desc, ID asc); t goes
 	// before slot i exactly when it wins that comparison.
 	pos := sort.Search(len(c.Slots), func(i int) bool {
-		if key != c.prios[i] {
-			return key > c.prios[i]
+		if key != c.keys[i].prio {
+			return key > c.keys[i].prio
 		}
 		return t.ID < c.Slots[i].Task.ID
 	})
@@ -110,7 +168,7 @@ func (c *Candidate) WithTask(t *task.Task) (Insertion, bool) {
 	// Replay list-scheduling of the slots ahead of t to find the
 	// earliest-free processor at its turn. Claims go by value, so the
 	// replayed start times match a full rebuild exactly.
-	free := newFreeTimes(c.Now, c.procs, c.busy)
+	free := newFreeTimes(nil, c.Now, c.procs, c.busy)
 	for _, s := range c.Slots[:pos] {
 		free.claim(s.Task.RPT)
 	}
@@ -118,29 +176,29 @@ func (c *Candidate) WithTask(t *task.Task) (Insertion, bool) {
 	return Insertion{Slot: Slot{Task: t, Start: at, Completion: at + t.RPT}, Pos: pos}, true
 }
 
-// buildCandidateOrdered list-schedules an explicit dispatch order onto the
-// processors.
-func buildCandidateOrdered(now float64, procs int, busyUntil []float64, ordered []*task.Task) *Candidate {
-	free := newFreeTimes(now, procs, busyUntil)
-	c := &Candidate{Now: now, Slots: make([]Slot, len(ordered))}
-	for i, t := range ordered {
-		at := free.claim(t.RPT)
+// schedule list-schedules c.tasks, in order, onto c's processors into
+// c.Slots.
+func (c *Candidate) schedule() {
+	c.free = newFreeTimes(c.free, c.Now, c.procs, c.busy)
+	c.Slots = resize(c.Slots, len(c.tasks))
+	for i, t := range c.tasks {
+		at := c.free.claim(t.RPT)
 		c.Slots[i] = Slot{Task: t, Start: at, Completion: at + t.RPT}
 	}
-	return c
 }
 
 // freeTimes is a binary min-heap of processor free times, kept in place in
-// a plain slice so list-scheduling allocates once per schedule.
+// a plain slice so list-scheduling needs no allocation beyond the slice.
 type freeTimes []float64
 
-// newFreeTimes holds one entry per busy processor (its free time, clamped
-// to now) and one at now per idle processor up to procs (at least 1).
-func newFreeTimes(now float64, procs int, busyUntil []float64) freeTimes {
+// newFreeTimes refills h's storage with one entry per busy processor (its
+// free time, clamped to now) and one at now per idle processor up to
+// procs (at least 1).
+func newFreeTimes(h freeTimes, now float64, procs int, busyUntil []float64) freeTimes {
 	if procs < 1 {
 		procs = 1
 	}
-	h := make(freeTimes, 0, max(procs, len(busyUntil)))
+	h = slices.Grow(h[:0], max(procs, len(busyUntil)))
 	for _, b := range busyUntil {
 		h = append(h, math.Max(b, now))
 	}
@@ -182,35 +240,74 @@ func (h freeTimes) down(i int) {
 }
 
 // RankOrder returns the pending tasks sorted by the policy's priorities,
-// highest first. Ties break by task ID so candidate schedules are
-// deterministic.
+// highest first. Ties break by task ID, then by position in pending, so
+// candidate schedules are deterministic.
 func RankOrder(policy Policy, now float64, pending []*task.Task) []*task.Task {
-	ordered, _ := rankWithPriorities(policy, now, pending)
-	return ordered
+	keys := identityKeys(len(pending))
+	rankWithPriorities(keys, policy.Priorities(now, pending), pending)
+	out := make([]*task.Task, len(keys))
+	for i, k := range keys {
+		out[i] = pending[k.idx]
+	}
+	return out
 }
 
-// rankWithPriorities is RankOrder returning the sorted priorities
-// alongside the sorted tasks (prios[i] is ordered[i]'s priority).
-func rankWithPriorities(policy Policy, now float64, pending []*task.Task) ([]*task.Task, []float64) {
-	prios := policy.Priorities(now, pending)
-	idx := make([]int, len(pending))
-	for i := range idx {
-		idx[i] = i
+// rankKey is one task's entry in a ranking: its priority, its ID and its
+// index in the ranked book.
+type rankKey struct {
+	prio float64
+	id   task.ID
+	idx  int
+}
+
+// identityKeys returns the keys of a book of n tasks in book order, the
+// cold start of a ranking.
+func identityKeys(n int) []rankKey {
+	keys := make([]rankKey, n)
+	for i := range keys {
+		keys[i].idx = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		pa, pb := prios[idx[a]], prios[idx[b]]
-		if pa != pb {
-			return pa > pb
+	return keys
+}
+
+// compareRank orders keys by priority descending, then ID ascending, then
+// book index ascending. On non-NaN priorities this is a total order.
+func compareRank(a, b rankKey) int {
+	if a.prio != b.prio {
+		if a.prio > b.prio {
+			return -1
 		}
-		return pending[idx[a]].ID < pending[idx[b]].ID
-	})
-	out := make([]*task.Task, len(pending))
-	outPrios := make([]float64, len(pending))
-	for i, j := range idx {
-		out[i] = pending[j]
-		outPrios[i] = prios[j]
+		return 1
 	}
-	return out, outPrios
+	if a.id != b.id {
+		if a.id < b.id {
+			return -1
+		}
+		return 1
+	}
+	return a.idx - b.idx
+}
+
+// rankWithPriorities is the one ranking kernel. keys holds each index of
+// pending once, in any order; each key takes its task's priority from
+// prios and its ID from pending, and keys sort into rank order. Because
+// the order is total, the result does not depend on the starting order:
+// from the identity it is what a stable sort by (priority desc, ID asc)
+// gives. The cost does depend on it: the stable sort runs in near-linear
+// time on a start that is already almost ranked.
+func rankWithPriorities(keys []rankKey, prios []float64, pending []*task.Task) {
+	for i := range keys {
+		k := &keys[i]
+		k.prio, k.id = prios[k.idx], pending[k.idx].ID
+	}
+	slices.SortStableFunc(keys, compareRank)
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough and growing it as append does otherwise, so a book that grows one
+// task at a time reallocates only now and then. Elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // Slot returns the slot for a task, if present. With duplicate IDs it

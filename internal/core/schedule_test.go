@@ -204,3 +204,34 @@ func TestBuildCandidateAllocs(t *testing.T) {
 		t.Logf("%s: BuildCandidate %.0f allocs per op", p.Name(), perDepth[0])
 	}
 }
+
+// TestCandidateRebuildAllocs is the allocation guard on warm rebuilds: in
+// steady state a rebuild reuses the candidate's storage, so its only
+// allocations are the priorities the policy returns, the same at any
+// queue depth. Each op alternates between two books of one size, one
+// task apart. Skipped under the race detector, whose instrumentation
+// allocates.
+func TestCandidateRebuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by the race detector")
+	}
+	busy := []float64{1010, 1050, 1100, 1200}
+	for _, p := range []Policy{SWPT{}, FirstPrice{}, PresentValue{DiscountRate: 0.01}, FirstReward{Alpha: 0.3, DiscountRate: 0.01}} {
+		var perDepth []float64
+		for _, n := range []int{100, 5000} {
+			all := benchTasks(n+1, false)
+			books := [2][]*task.Task{all[:n], all[1:]}
+			c := BuildCandidate(p, 1000, 16, busy, books[0])
+			now := 1000.0
+			perDepth = append(perDepth, testing.AllocsPerRun(20, func() {
+				now++
+				c.Rebuild(now, 16, busy, books[int(now)%2])
+			}))
+		}
+		if perDepth[0] != perDepth[1] || perDepth[0] > 2 {
+			t.Errorf("%s: Rebuild allocates %.1f times at n=100 and %.1f at n=5000, want one constant ≤ 2",
+				p.Name(), perDepth[0], perDepth[1])
+		}
+		t.Logf("%s: Rebuild %.0f allocs per op", p.Name(), perDepth[0])
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/task"
 )
@@ -54,25 +53,24 @@ func (p ScheduledPrice) Priorities(now float64, tasks []*task.Task) []float64 {
 	}
 
 	// Seed with the immediate-start FirstPrice order.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
+	keys := identityKeys(n)
 	for i, t := range tasks {
 		prios[i] = t.ExpectedYield(now) / t.RPT
 	}
-	p.sortByPriority(order, prios, tasks)
+	rankWithPriorities(keys, prios, tasks)
 
+	// Each round list-schedules the current order, re-prices every task at
+	// its scheduled completion and re-ranks from that order.
+	cand := &Candidate{Now: now, procs: p.effProcs(), tasks: make([]*task.Task, n)}
 	for round := 0; round < p.effRounds(); round++ {
-		ordered := make([]*task.Task, n)
-		for pos, idx := range order {
-			ordered[pos] = tasks[idx]
+		for pos, k := range keys {
+			cand.tasks[pos] = tasks[k.idx]
 		}
-		cand := buildCandidateOrdered(now, p.effProcs(), nil, ordered)
-		for pos, idx := range order {
-			prios[idx] = tasks[idx].YieldAtCompletion(cand.Slots[pos].Completion) / tasks[idx].RPT
+		cand.schedule()
+		for pos, k := range keys {
+			prios[k.idx] = tasks[k.idx].YieldAtCompletion(cand.Slots[pos].Completion) / tasks[k.idx].RPT
 		}
-		p.sortByPriority(order, prios, tasks)
+		rankWithPriorities(keys, prios, tasks)
 	}
 	return prios
 }
@@ -81,17 +79,5 @@ func (p ScheduledPrice) Priorities(now float64, tasks []*task.Task) []float64 {
 // depends on its position in the candidate schedule, so removing the task
 // ahead of it changes every price behind it: re-rank per start.
 func (ScheduledPrice) StableUnderRemoval() bool { return false }
-
-// sortByPriority orders indexes by descending priority with ID tie-breaks,
-// matching RankOrder's determinism contract.
-func (ScheduledPrice) sortByPriority(order []int, prios []float64, tasks []*task.Task) {
-	sort.SliceStable(order, func(a, b int) bool {
-		pa, pb := prios[order[a]], prios[order[b]]
-		if pa != pb {
-			return pa > pb
-		}
-		return tasks[order[a]].ID < tasks[order[b]].ID
-	})
-}
 
 var _ Policy = ScheduledPrice{}

@@ -64,19 +64,6 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-func TestByNameDelegatesToParseSpec(t *testing.T) {
-	p, err := ByName("firstreward:alpha=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != (FirstReward{Alpha: 0.5, DiscountRate: 0.01}) {
-		t.Fatalf("ByName = %#v", p)
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Error("ByName accepted an unknown policy")
-	}
-}
-
 func TestSplitSpecShapes(t *testing.T) {
 	sp, err := SplitSpec("Name:Key=Value, other = x ,flagA")
 	if err != nil {

@@ -217,14 +217,20 @@ func (s *Site) invalidate() { s.version++ }
 
 // baseCandidate returns the candidate schedule of the current pending
 // queue (no probe task), rebuilding it only when the scheduling state or
-// the clock has moved since the last quote.
+// the clock has moved since the last quote. The rebuild is in place and
+// starts from the previous rank order; no caller keeps the candidate past
+// one quote.
 func (s *Site) baseCandidate(now float64) *core.Candidate {
 	if s.baseCand != nil && s.baseNow == now && s.baseVersion == s.version {
 		s.metrics.QuoteReuses++
 		s.recordEvent(EventQuoteHit, 0, 0)
 		return s.baseCand
 	}
-	s.baseCand = core.BuildCandidate(s.cfg.Policy, now, s.procs, s.busyUntil(now), s.pending)
+	if s.baseCand == nil {
+		s.baseCand = core.BuildCandidate(s.cfg.Policy, now, s.procs, s.busyUntil(now), s.pending)
+	} else {
+		s.baseCand.Rebuild(now, s.procs, s.busyUntil(now), s.pending)
+	}
 	s.baseNow = now
 	s.baseVersion = s.version
 	s.metrics.QuoteBuilds++

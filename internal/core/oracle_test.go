@@ -94,14 +94,15 @@ func pqueueWithTask(c *Candidate, t *task.Task) (Insertion, bool) {
 	if !ok {
 		return Insertion{}, false
 	}
-	pos := sort.Search(len(c.Slots), func(i int) bool {
+	slots := c.Slots()
+	pos := sort.Search(len(slots), func(i int) bool {
 		if key != c.keys[i].prio {
 			return key > c.keys[i].prio
 		}
-		return t.ID < c.Slots[i].Task.ID
+		return t.ID < slots[i].Task.ID
 	})
 	free := pqueueFreeTimes(c.Now, c.procs, c.busy)
-	for _, s := range c.Slots[:pos] {
+	for _, s := range slots[:pos] {
 		at := free.Pop().Value
 		free.Push(at + s.Task.RPT)
 	}
@@ -264,15 +265,15 @@ func TestBuildCandidateMatchesPqueueOracle(t *testing.T) {
 				pending := oracleBook(rng, kind, n)
 				for _, procs := range []int{0, 1, 3, 16} {
 					for _, busy := range oracleBusy(now) {
-						got := BuildCandidate(p, now, procs, busy, pending)
+						got := BuildCandidate(p, now, procs, busy, pending).Slots()
 						want := pqueueCandidate(now, procs, busy, RankOrder(p, now, pending))
-						if len(got.Slots) != len(want.slots) {
-							t.Fatalf("%s %v n=%d procs=%d: %d slots, want %d", p.Name(), kind, n, procs, len(got.Slots), len(want.slots))
+						if len(got) != len(want.slots) {
+							t.Fatalf("%s %v n=%d procs=%d: %d slots, want %d", p.Name(), kind, n, procs, len(got), len(want.slots))
 						}
-						for i := range got.Slots {
-							if !sameBits(got.Slots[i], want.slots[i]) {
+						for i := range got {
+							if !sameBits(got[i], want.slots[i]) {
 								t.Fatalf("%s %v n=%d procs=%d busy=%v: slot %d = %+v, want %+v",
-									p.Name(), kind, n, procs, busy, i, got.Slots[i], want.slots[i])
+									p.Name(), kind, n, procs, busy, i, got[i], want.slots[i])
 							}
 						}
 					}

@@ -33,7 +33,12 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 	}
 
 	if StableUnderRemoval(policy, pending) {
-		return topStarts(policy.Priorities(now, pending), pending, n), 1
+		top := TopRanked(nil, policy.Priorities(now, pending), pending, n)
+		starts = make([]*task.Task, n)
+		for i, j := range top {
+			starts[i] = pending[j]
+		}
+		return starts, 1
 	}
 
 	// Unstable path: re-rank the surviving set before each start. The
@@ -58,19 +63,20 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 	return starts, rankOps
 }
 
-// topStarts returns the best k of pending under RankOrder's total order —
-// priority descending, then ID ascending, then input position — best
-// first: exactly RankOrder(...)[:k] for these priorities. A max-heap of
-// the k best seen so far, worst at the root, screens each task in
-// O(log k); the heap is then drained worst-first into the result's tail.
-func topStarts(prios []float64, pending []*task.Task, k int) []*task.Task {
-	// before reports whether pending[a] ranks ahead of pending[b].
+// TopRanked returns the indexes of the best k of tasks under RankOrder's
+// total order — priority descending, then ID ascending, then input
+// position — best first: the indexes of exactly RankOrder(...)[:k] for
+// these priorities. It reuses dst's storage. A max-heap of the k best seen
+// so far, worst at the root, screens each task in O(log k); draining the
+// heap worst-first into its own tail then leaves it in rank order.
+func TopRanked(dst []int, prios []float64, tasks []*task.Task, k int) []int {
+	// before reports whether tasks[a] ranks ahead of tasks[b].
 	before := func(a, b int) bool {
 		if prios[a] != prios[b] {
 			return prios[a] > prios[b]
 		}
-		if pending[a].ID != pending[b].ID {
-			return pending[a].ID < pending[b].ID
+		if tasks[a].ID != tasks[b].ID {
+			return tasks[a].ID < tasks[b].ID
 		}
 		return a < b
 	}
@@ -93,24 +99,22 @@ func topStarts(prios []float64, pending []*task.Task, k int) []*task.Task {
 		}
 	}
 
-	h := make([]int, k)
+	h := resize(dst, k)
 	for i := range h {
 		h[i] = i
 	}
 	for i := k/2 - 1; i >= 0; i-- {
 		down(h, i)
 	}
-	for i := k; i < len(pending); i++ {
+	for i := k; i < len(tasks); i++ {
 		if before(i, h[0]) {
 			h[0] = i
 			down(h, 0)
 		}
 	}
-	out := make([]*task.Task, k)
-	for last := k - 1; last >= 0; last-- {
-		out[last] = pending[h[0]]
-		h[0] = h[last]
+	for last := k - 1; last > 0; last-- {
+		h[0], h[last] = h[last], h[0]
 		down(h[:last], 0)
 	}
-	return out
+	return h
 }

@@ -26,13 +26,27 @@ type Policy interface {
 }
 
 // StableRanker is an optional Policy capability. A policy reports
-// StableUnderRemoval() == true when the relative ranking of any two tasks
-// is unaffected by removing other tasks from the competing set — i.e. its
-// priorities carry no cross-task terms. The dispatcher exploits this to
-// rank a pending queue once per scheduling event and fill every free
-// processor from that single order, instead of re-ranking after each start.
+// StableUnderRemoval() == true when its priorities carry no cross-task
+// terms: a task's priority depends only on the task and the instant, so
+// it is the same, bit for bit, in any competing set — alone included —
+// and removing other tasks never changes the relative ranking of two
+// tasks. The dispatcher exploits this to rank a pending queue once per
+// scheduling event and fill every free processor from that single order,
+// instead of re-ranking after each start, and under preemption to
+// re-price only the tasks a swap moves (see PerTask).
 type StableRanker interface {
 	StableUnderRemoval() bool
+}
+
+// PerTask reports whether p declares per-task priorities: it implements
+// StableRanker and reports StableUnderRemoval() == true. Unlike
+// StableUnderRemoval, it does not consult ConditionalStableRanker: a
+// policy whose ranking merely survives removal on some task sets (such as
+// FirstReward over unbounded penalties, whose priorities all shift) still
+// prices each task against the whole set.
+func PerTask(p Policy) bool {
+	st, ok := p.(StableRanker)
+	return ok && st.StableUnderRemoval()
 }
 
 // ConditionalStableRanker refines StableRanker for policies whose

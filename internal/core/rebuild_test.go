@@ -71,19 +71,17 @@ func (e *bookEditor) edit(book []*task.Task) (out []*task.Task, what string) {
 }
 
 // sameCandidate reports the first difference between a rebuilt candidate
-// and a cold one, or "".
+// and a cold one, or "". It probes got's insertions before and after
+// reading its list schedule, so a lazy schedule that leaks into WithTask,
+// or a stale one, shows up as a difference.
 func sameCandidate(got, want *Candidate, probes []*task.Task) string {
 	if math.Float64bits(got.Now) != math.Float64bits(want.Now) || got.procs != want.procs {
 		return fmt.Sprintf("now %v procs %d, want now %v procs %d", got.Now, got.procs, want.Now, want.procs)
 	}
-	if len(got.Slots) != len(want.Slots) || len(got.tasks) != len(want.tasks) || len(got.keys) != len(want.keys) {
-		return fmt.Sprintf("%d slots, %d tasks, %d keys; want %d, %d, %d",
-			len(got.Slots), len(got.tasks), len(got.keys), len(want.Slots), len(want.tasks), len(want.keys))
+	if len(got.tasks) != len(want.tasks) || len(got.keys) != len(want.keys) {
+		return fmt.Sprintf("%d tasks, %d keys; want %d, %d", len(got.tasks), len(got.keys), len(want.tasks), len(want.keys))
 	}
-	for i := range want.Slots {
-		if !sameBits(got.Slots[i], want.Slots[i]) {
-			return fmt.Sprintf("slot %d = %+v, want %+v", i, got.Slots[i], want.Slots[i])
-		}
+	for i := range want.tasks {
 		if got.tasks[i] != want.tasks[i] {
 			return fmt.Sprintf("task %d = %d, want %d", i, got.tasks[i].ID, want.tasks[i].ID)
 		}
@@ -91,11 +89,29 @@ func sameCandidate(got, want *Candidate, probes []*task.Task) string {
 			return fmt.Sprintf("priority %d = %v, want %v", i, got.keys[i].prio, want.keys[i].prio)
 		}
 	}
+	if diff := sameInsertions(got, want, probes, "unread schedule"); diff != "" {
+		return diff
+	}
+	gs, ws := got.Slots(), want.Slots()
+	if len(gs) != len(ws) {
+		return fmt.Sprintf("%d slots, want %d", len(gs), len(ws))
+	}
+	for i := range ws {
+		if !sameBits(gs[i], ws[i]) {
+			return fmt.Sprintf("slot %d = %+v, want %+v", i, gs[i], ws[i])
+		}
+	}
+	return sameInsertions(got, want, probes, "read schedule")
+}
+
+// sameInsertions reports the first probe got inserts differently from
+// want, or "".
+func sameInsertions(got, want *Candidate, probes []*task.Task, when string) string {
 	for _, pr := range probes {
 		g, gok := got.WithTask(pr)
 		w, wok := want.WithTask(pr)
 		if gok != wok || g.Pos != w.Pos || !sameBits(g.Slot, w.Slot) {
-			return fmt.Sprintf("WithTask(%d) = %+v ok=%v, want %+v ok=%v", pr.ID, g, gok, w, wok)
+			return fmt.Sprintf("%s: WithTask(%d) = %+v ok=%v, want %+v ok=%v", when, pr.ID, g, gok, w, wok)
 		}
 	}
 	return ""
@@ -106,7 +122,11 @@ func sameCandidate(got, want *Candidate, probes []*task.Task) string {
 // removals, arrivals, preemptions, whole-book replacements, clock steps
 // and processor changes, a candidate rebuilt in place has the slots,
 // priorities, task order and insertions of a fresh BuildCandidate, bit
-// for bit.
+// for bit. Each comparison reads the rebuilt list schedule, so most
+// rebuilds start from a candidate whose schedule was read and must drop
+// it; some steps rebuild twice, the first time for an intermediate book
+// nobody reads, and insertions are probed both before and after the
+// schedule is first read.
 func TestRebuildMatchesBuildCandidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, p := range planPolicies() {
@@ -118,7 +138,15 @@ func TestRebuildMatchesBuildCandidate(t *testing.T) {
 			c := BuildCandidate(p, now, procs, busy, book)
 			for step := 0; step < 60; step++ {
 				var what string
-				book, what = ed.edit(book)
+				if rng.Intn(3) == 0 {
+					var mid []*task.Task
+					mid, what = ed.edit(book)
+					c.Rebuild(now+1, procs+1, busy, mid)
+					book, what = mid, what+"+unread"
+				}
+				var edit string
+				book, edit = ed.edit(book)
+				what += edit
 				if rng.Intn(2) == 0 {
 					now += rng.Float64() * 20
 					what += "+clock"

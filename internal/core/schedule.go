@@ -29,14 +29,20 @@ func (s Slot) ExpectedYield() float64 {
 // currently running work.
 //
 // Candidates built by BuildCandidate retain enough context (policy,
-// processor state, per-slot priorities) to answer WithTask queries: the
+// processor state, per-task priorities) to answer WithTask queries: the
 // slot a hypothetical extra task would occupy, computed incrementally
 // against this base schedule instead of rebuilding from scratch. They can
 // also be rebuilt in place for a later state of the same book (Rebuild),
 // re-ranking from their previous rank order.
+//
+// Building or rebuilding a candidate only ranks the book. The list
+// schedule is filled on first use — Slots, Slot, TotalExpectedYield or
+// Makespan — and kept until the next Rebuild, so a caller that only
+// inserts (WithTask) or walks the rank order (Ranked) never
+// list-schedules the book. Because that first read fills the candidate
+// in place, a Candidate is not safe for concurrent use.
 type Candidate struct {
-	Now   float64
-	Slots []Slot // in expected start order
+	Now float64
 
 	// Incremental-evaluation context. policy is nil for candidates built
 	// without it (internal ScheduledPrice refinement rounds), which makes
@@ -44,8 +50,13 @@ type Candidate struct {
 	policy Policy
 	procs  int
 	busy   []float64    // copy of the busyUntil passed to BuildCandidate
-	keys   []rankKey    // the ranking, aligned with Slots: priority, ID, index into the ranked book
-	tasks  []*task.Task // the ranked tasks, aligned with Slots
+	keys   []rankKey    // the ranking: priority, ID, index into the ranked book
+	tasks  []*task.Task // the ranked tasks, aligned with keys
+
+	// The list schedule of tasks, aligned with them; valid only while
+	// listed is set.
+	slots  []Slot
+	listed bool
 
 	// Rebuild scratch, kept between rebuilds.
 	at   []int     // per index of the previous book: its rank, then its index in the new book
@@ -55,8 +66,9 @@ type Candidate struct {
 // BuildCandidate constructs a candidate schedule. busyUntil holds one entry
 // per processor occupied by a running task — the time that processor frees
 // up; processors beyond len(busyUntil) (up to procs) are idle now. pending
-// is ranked by the policy and list-scheduled greedily: each task in
-// priority order claims the earliest-free processor.
+// is ranked by the policy and, on first use of the schedule,
+// list-scheduled greedily: each task in priority order claims the
+// earliest-free processor.
 func BuildCandidate(policy Policy, now float64, procs int, busyUntil []float64, pending []*task.Task) *Candidate {
 	c := &Candidate{policy: policy}
 	c.Rebuild(now, procs, busyUntil, pending)
@@ -65,8 +77,9 @@ func BuildCandidate(policy Policy, now float64, procs int, busyUntil []float64, 
 
 // Rebuild makes c the candidate schedule BuildCandidate(policy, now, procs,
 // busyUntil, pending) would build, for c's policy, reusing c's storage. c
-// must come from BuildCandidate, and no earlier Slots of c may be in use:
-// Rebuild overwrites them.
+// must come from BuildCandidate, and nothing c returned earlier (Slots,
+// Ranked) may be in use: Rebuild overwrites it, and drops the list
+// schedule until it is next read.
 //
 // The result is exact for any pending, but the ranking starts from c's
 // previous rank order, so rebuilding for a later state of the same book
@@ -84,7 +97,7 @@ func (c *Candidate) Rebuild(now float64, procs int, busyUntil []float64, pending
 	}
 	c.Now, c.procs = now, procs
 	c.busy = append(c.busy[:0], busyUntil...)
-	c.schedule()
+	c.listed = false
 }
 
 // warmStart leaves in c.keys a permutation of pending's indexes to start
@@ -136,11 +149,12 @@ type Insertion struct {
 //
 // The returned slot is identical to the one a full rebuild would assign:
 // the rank position comes from a binary search of the insertion key
-// against the base priorities, and the start time replays list-scheduling
-// of the first Pos base slots onto the processors. Cost is O(log n) for
+// against the base rank keys, and the start time replays list-scheduling
+// of the first Pos ranked tasks onto the processors. Cost is O(log n) for
 // the search plus O(Pos) for the replay, versus O(n log n) per full
 // rebuild — quoting m proposals against one base schedule is
-// O(m·(log n + n)) instead of O(m·n log n).
+// O(m·(log n + n)) instead of O(m·n log n). It does not read, or fill,
+// the base list schedule.
 func (c *Candidate) WithTask(t *task.Task) (Insertion, bool) {
 	if c.policy == nil {
 		return Insertion{}, false
@@ -154,37 +168,54 @@ func (c *Candidate) WithTask(t *task.Task) (Insertion, bool) {
 		return Insertion{}, false
 	}
 
-	// First slot t would outrank: priorities are non-increasing with
+	// First rank t would outrank: priorities are non-increasing with
 	// ascending-ID ties, so the predicate is monotone and sort.Search
 	// applies. RankOrder's comparator is (priority desc, ID asc); t goes
-	// before slot i exactly when it wins that comparison.
-	pos := sort.Search(len(c.Slots), func(i int) bool {
+	// before rank i exactly when it wins that comparison.
+	pos := sort.Search(len(c.keys), func(i int) bool {
 		if key != c.keys[i].prio {
 			return key > c.keys[i].prio
 		}
-		return t.ID < c.Slots[i].Task.ID
+		return t.ID < c.keys[i].id
 	})
 
-	// Replay list-scheduling of the slots ahead of t to find the
+	// Replay list-scheduling of the tasks ahead of t to find the
 	// earliest-free processor at its turn. Claims go by value, so the
 	// replayed start times match a full rebuild exactly.
 	free := newFreeTimes(nil, c.Now, c.procs, c.busy)
-	for _, s := range c.Slots[:pos] {
-		free.claim(s.Task.RPT)
+	for _, r := range c.tasks[:pos] {
+		free.claim(r.RPT)
 	}
 	at := free[0]
 	return Insertion{Slot: Slot{Task: t, Start: at, Completion: at + t.RPT}, Pos: pos}, true
 }
 
+// Ranked returns the candidate's tasks in rank order — the order Slots
+// lists them in — without list-scheduling them. The slice is the
+// candidate's own: callers must not modify it, and a Rebuild overwrites
+// it.
+func (c *Candidate) Ranked() []*task.Task { return c.tasks }
+
+// Slots returns the list schedule, in expected start order. The first
+// call after a build or rebuild list-schedules the ranked tasks; later
+// calls return the same slice until a Rebuild overwrites it.
+func (c *Candidate) Slots() []Slot {
+	if !c.listed {
+		c.schedule()
+	}
+	return c.slots
+}
+
 // schedule list-schedules c.tasks, in order, onto c's processors into
-// c.Slots.
+// c.slots.
 func (c *Candidate) schedule() {
 	c.free = newFreeTimes(c.free, c.Now, c.procs, c.busy)
-	c.Slots = resize(c.Slots, len(c.tasks))
+	c.slots = resize(c.slots, len(c.tasks))
 	for i, t := range c.tasks {
 		at := c.free.claim(t.RPT)
-		c.Slots[i] = Slot{Task: t, Start: at, Completion: at + t.RPT}
+		c.slots[i] = Slot{Task: t, Start: at, Completion: at + t.RPT}
 	}
+	c.listed = true
 }
 
 // freeTimes is a binary min-heap of processor free times, kept in place in
@@ -317,7 +348,7 @@ func (c *Candidate) Slot(id task.ID) (Slot, bool) {
 	if i < 0 {
 		return Slot{}, false
 	}
-	return c.Slots[i], true
+	return c.Slots()[i], true
 }
 
 // Behind returns the tasks scheduled after the given task in the candidate
@@ -328,18 +359,14 @@ func (c *Candidate) Behind(id task.ID) []*task.Task {
 	if i < 0 {
 		return nil
 	}
-	out := make([]*task.Task, 0, len(c.Slots)-i-1)
-	for _, s := range c.Slots[i+1:] {
-		out = append(out, s.Task)
-	}
-	return out
+	return slices.Clone(c.tasks[i+1:])
 }
 
-// find returns the position of the last slot holding id, or -1. A linear
-// scan suffices: its callers go on to walk the slots behind it anyway.
+// find returns the rank of the last task with id, or -1. A linear scan
+// suffices: its callers go on to walk the tasks behind it anyway.
 func (c *Candidate) find(id task.ID) int {
-	for i := len(c.Slots) - 1; i >= 0; i-- {
-		if c.Slots[i].Task.ID == id {
+	for i := len(c.tasks) - 1; i >= 0; i-- {
+		if c.tasks[i].ID == id {
 			return i
 		}
 	}
@@ -351,7 +378,7 @@ func (c *Candidate) find(id task.ID) int {
 // further arrivals.
 func (c *Candidate) TotalExpectedYield() float64 {
 	var sum float64
-	for _, s := range c.Slots {
+	for _, s := range c.Slots() {
 		sum += s.ExpectedYield()
 	}
 	return sum
@@ -361,7 +388,7 @@ func (c *Candidate) TotalExpectedYield() float64 {
 // if it is empty.
 func (c *Candidate) Makespan() float64 {
 	m := c.Now
-	for _, s := range c.Slots {
+	for _, s := range c.Slots() {
 		if s.Completion > m {
 			m = s.Completion
 		}

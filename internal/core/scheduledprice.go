@@ -68,7 +68,7 @@ func (p ScheduledPrice) Priorities(now float64, tasks []*task.Task) []float64 {
 		}
 		cand.schedule()
 		for pos, k := range keys {
-			prios[k.idx] = tasks[k.idx].YieldAtCompletion(cand.Slots[pos].Completion) / tasks[k.idx].RPT
+			prios[k.idx] = tasks[k.idx].YieldAtCompletion(cand.slots[pos].Completion) / tasks[k.idx].RPT
 		}
 		rankWithPriorities(keys, prios, tasks)
 	}

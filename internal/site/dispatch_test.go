@@ -11,15 +11,24 @@ import (
 	"repro/internal/workload"
 )
 
-// runDispatchTrace runs the trace on a fresh site, optionally forcing the
-// seed per-start re-rank dispatcher, and returns the metrics plus the
-// ordered (time, taskID) start sequence.
-func runDispatchTrace(t *testing.T, tr []*task.Task, cfg Config, seed bool) (Metrics, []Event) {
+// opaquePolicy hides every capability of the policy it wraps —
+// core.StableRanker, core.ConditionalStableRanker and core.Inserter — so a
+// site running it takes the reference paths: a full candidate rebuild per
+// quote, a re-rank before every start, and a full re-pricing of pending
+// and running tasks after every preemption swap.
+type opaquePolicy struct{ core.Policy }
+
+// runDispatchTrace runs the trace on a fresh site, optionally through the
+// reference paths (opaquePolicy), and returns the metrics plus the
+// ordered start events.
+func runDispatchTrace(t *testing.T, tr []*task.Task, cfg Config, oracle bool) (Metrics, []Event) {
 	t.Helper()
+	if oracle {
+		cfg.Policy = opaquePolicy{cfg.Policy}
+	}
 	log := &Log{}
 	engine := sim.New()
 	s := New(engine, "s", cfg, WithRecorder(log))
-	s.seedDispatch = seed
 	ScheduleArrivals(engine, s, tr)
 	engine.Run()
 	var starts []Event
@@ -34,7 +43,7 @@ func runDispatchTrace(t *testing.T, tr []*task.Task, cfg Config, seed bool) (Met
 // TestDispatchMatchesSeedPerStartRerank is the end-to-end differential
 // test for the single-pass dispatcher: for every shipped policy, a full
 // simulated trace must produce the identical start sequence, yields, and
-// delays the seed's re-rank-before-every-start loop produced — while
+// delays the reference re-rank-before-every-start loop produces — while
 // spending no more ranking passes, and strictly fewer for stable policies.
 func TestDispatchMatchesSeedPerStartRerank(t *testing.T) {
 	spec := workload.Default()
@@ -91,12 +100,15 @@ func TestDispatchMatchesSeedPerStartRerank(t *testing.T) {
 // TestMultiStartEventRanksOnce pins the single-pass saving where it shows:
 // a dispatch event that starts several tasks at once (here, a capacity
 // grow over a backlog) costs one ranking pass under a stable policy,
-// versus one per start on the seed path.
+// versus one per start on the reference path.
 func TestMultiStartEventRanksOnce(t *testing.T) {
-	run := func(seed bool) Metrics {
+	run := func(oracle bool) Metrics {
+		var policy core.Policy = core.FirstPrice{}
+		if oracle {
+			policy = opaquePolicy{policy}
+		}
 		engine := sim.New()
-		s := New(engine, "s", Config{Processors: 1, Policy: core.FirstPrice{}})
-		s.seedDispatch = seed
+		s := New(engine, "s", Config{Processors: 1, Policy: policy})
 		for i := 1; i <= 9; i++ {
 			tk := task.New(task.ID(i), 0, 10, 100, 0.5, math.Inf(1))
 			engine.At(0, func() { s.Submit(tk) })
@@ -106,11 +118,11 @@ func TestMultiStartEventRanksOnce(t *testing.T) {
 			s.GrowCapacity(7) // one event, seven starts from the backlog
 			delta := s.Metrics().RankOps - pre
 			want := 1
-			if seed {
+			if oracle {
 				want = 7
 			}
 			if delta != want {
-				t.Errorf("seed=%v: grow event cost %d rank ops, want %d", seed, delta, want)
+				t.Errorf("oracle=%v: grow event cost %d rank ops, want %d", oracle, delta, want)
 			}
 		})
 		engine.Run()

@@ -8,14 +8,17 @@
 // dispatches (or preempts) accordingly. Ranking happens once per event
 // when the policy's order is stable under removal (core.StableRanker) and
 // per start otherwise; either way the resulting schedule is identical to
-// re-ranking before every start. Context-switch time is zero and
-// predicted run times are accurate, matching the paper's simplifying
-// assumptions.
+// re-ranking before every start. Under preemption, a policy with per-task
+// priorities (core.PerTask) is priced once per event over the pending and
+// running tasks together, and each swap re-prices only the two tasks it
+// moves. Context-switch time is zero and predicted run times are
+// accurate, matching the paper's simplifying assumptions.
 package site
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/admission"
 	"repro/internal/core"
@@ -150,12 +153,26 @@ type Site struct {
 	baseNow     float64
 	baseVersion uint64
 
-	// seedDispatch switches dispatch back to the original per-start
-	// re-rank loop. It exists purely as the differential oracle for the
-	// single-pass dispatcher's equivalence tests.
-	seedDispatch bool
+	// Scratch reused across events, so a steady-state event allocates
+	// only the priorities its policy returns. contest holds the tasks
+	// competing for processors in one preemption decision, running ones
+	// first with their state in contenders; busy backs busyUntil.
+	contest    []*task.Task
+	contenders []contender
+	picks      []int
+	moved      [2]*task.Task
+	busy       []float64
 
 	metrics Metrics
+}
+
+// contender is a running task's side of the preemption contest: its
+// execution, the RPT it keeps while its ranking basis is installed, and
+// whether it may be preempted at all.
+type contender struct {
+	ex          *execution
+	rpt         float64
+	preemptable bool
 }
 
 // New constructs a site on the engine. It panics on an invalid
@@ -303,12 +320,14 @@ func (s *Site) Submit(t *task.Task) (admission.Quote, bool, error) {
 }
 
 // busyUntil returns the expected release time of each occupied processor.
+// The slice is the site's scratch, valid until the next call; candidate
+// builds copy it.
 func (s *Site) busyUntil(now float64) []float64 {
-	busy := make([]float64, 0, len(s.running))
+	s.busy = s.busy[:0]
 	for _, ex := range s.running {
-		busy = append(busy, now+s.effectiveRPT(ex, now))
+		s.busy = append(s.busy, now+s.effectiveRPT(ex, now))
 	}
-	return busy
+	return s.busy
 }
 
 // effectiveRPT is the remaining processing time of a running task as of
@@ -327,49 +346,27 @@ func (s *Site) effectiveRPT(ex *execution, now float64) float64 {
 //
 // Dispatch is atomic in simulation time: the clock cannot advance between
 // the decisions below, so expiry state is fixed for the whole event.
-// parkExpired clears already-expired tasks up front, and the start loop
-// re-checks expiry on each selected task before starting it — the hoisted
-// check makes "an expired task is never started" a structural invariant
-// of the dispatcher rather than a consequence of call ordering.
+// parkExpired clears already-expired tasks up front, and a start changes
+// no other task's expiry, so filling free processors never selects an
+// expired task. A task preempted during the event rejoins the queue as it
+// is and is parked, if expired, at the next event.
 func (s *Site) dispatch() {
 	now := s.engine.Now()
 	if s.cfg.ParkExpired {
 		s.parkExpired(now)
 	}
-	rankOps := 0
-	if s.seedDispatch {
-		// Differential oracle: the original per-start re-rank loop.
-		for s.free > 0 && len(s.pending) > 0 {
-			ordered := core.RankOrder(s.cfg.Policy, now, s.pending)
-			rankOps++
-			s.start(ordered[0], now)
-		}
+	var rankOps int
+	if s.cfg.Preemptive && core.PerTask(s.cfg.Policy) {
+		rankOps = s.dispatchPerTask(now)
 	} else {
-		for s.free > 0 && len(s.pending) > 0 {
-			starts, ranks := core.PlanStarts(s.cfg.Policy, now, s.free, s.pending)
-			rankOps += ranks
-			parked := false
-			for _, t := range starts {
-				if s.cfg.ParkExpired && !t.Unbounded() && t.ExpiredAt(now) {
-					// Unreachable after parkExpired within one atomic
-					// dispatch, but kept as the structural guarantee: park,
-					// drop the rest of this plan, and re-plan without the
-					// expired task.
-					s.removePending(t)
-					s.park(t, now)
-					s.invalidate()
-					parked = true
-					break
-				}
-				s.start(t, now)
-			}
-			if !parked {
-				break
-			}
+		var starts []*task.Task
+		starts, rankOps = core.PlanStarts(s.cfg.Policy, now, s.free, s.pending)
+		for _, t := range starts {
+			s.start(t, now)
 		}
-	}
-	if s.cfg.Preemptive {
-		rankOps += s.preemptIfBeneficial(now)
+		if s.cfg.Preemptive {
+			rankOps += s.preemptIfBeneficial(now)
+		}
 	}
 	if rankOps > 0 {
 		s.metrics.RankOps += rankOps
@@ -415,67 +412,149 @@ const preemptEpsilon = 1e-9
 // such a task's completion event fires at the same timestamp.
 const minPreemptableRPT = 1e-9
 
+// loadContest fills s.contest with the running tasks, then the pending
+// ones, and installs each running task's ranking basis (remaining work,
+// or full restart cost) as its RPT, keeping the stored RPT in
+// s.contenders. It returns the number of running tasks. Nothing may act
+// on the tasks until restoreRPTs puts the stored RPTs back.
+func (s *Site) loadContest(now float64) int {
+	s.contest, s.contenders = s.contest[:0], s.contenders[:0]
+	for _, ex := range s.running {
+		s.contenders = append(s.contenders, s.installBasis(ex, now))
+		s.contest = append(s.contest, ex.t)
+	}
+	s.contest = append(s.contest, s.pending...)
+	return len(s.contenders)
+}
+
+// installBasis installs a running task's ranking basis as its RPT and
+// returns its contender state.
+func (s *Site) installBasis(ex *execution, now float64) contender {
+	eff := s.effectiveRPT(ex, now)
+	c := contender{ex: ex, rpt: ex.t.RPT, preemptable: eff > minPreemptableRPT}
+	if s.cfg.PreemptRanking == RestartCost {
+		ex.t.RPT = ex.t.Runtime
+	} else {
+		ex.t.RPT = eff
+	}
+	return c
+}
+
+func (s *Site) restoreRPTs() {
+	for _, c := range s.contenders {
+		c.ex.t.RPT = c.rpt
+	}
+}
+
+// bestSwap returns the contest's best pending task and its worst
+// preemptable running task, given the first nr entries run, or -1s when
+// the pending one does not outrank the running one by preemptEpsilon.
+// Ties go to the lower ID for the best pending task and to the higher ID
+// for the worst running one.
+func (s *Site) bestSwap(prios []float64, nr int) (best, worst int) {
+	best, worst = -1, -1
+	for i := nr; i < len(s.contest); i++ {
+		if best < 0 || prios[i] > prios[best] ||
+			(prios[i] == prios[best] && s.contest[i].ID < s.contest[best].ID) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return -1, -1
+	}
+	for i, c := range s.contenders[:nr] {
+		if c.preemptable && (worst < 0 || prios[i] < prios[worst] ||
+			(prios[i] == prios[worst] && s.contest[i].ID > s.contest[worst].ID)) {
+			worst = i
+		}
+	}
+	if worst < 0 || !(prios[best] > prios[worst]+preemptEpsilon) {
+		return -1, -1
+	}
+	return best, worst
+}
+
 // preemptIfBeneficial repeatedly swaps the best pending task for the worst
-// running task while the pending one ranks strictly higher. Rankings are
-// evaluated over the union of pending and running tasks so cross-task cost
-// terms see the full competing set. It reports the number of ranking
-// passes performed.
+// running task while the pending one ranks strictly higher. Each round
+// re-prices the whole contest, so cross-task cost terms see the full
+// competing set as it stands. It reports the number of ranking passes
+// performed.
 func (s *Site) preemptIfBeneficial(now float64) (rankOps int) {
 	for len(s.pending) > 0 && len(s.running) > 0 {
-		union := make([]*task.Task, 0, len(s.pending)+len(s.running))
-		union = append(union, s.pending...)
-		// Snapshot each running task's stored RPT, then install the ranking
-		// basis (remaining work, or full restart cost) for the priority
-		// computation; the snapshots are restored before any action.
-		type saved struct {
-			ex  *execution
-			rpt float64
-		}
-		savedRPTs := make([]saved, 0, len(s.running))
-		preemptable := make(map[task.ID]bool, len(s.running))
-		for _, ex := range s.running {
-			eff := s.effectiveRPT(ex, now)
-			savedRPTs = append(savedRPTs, saved{ex, ex.t.RPT})
-			preemptable[ex.t.ID] = eff > minPreemptableRPT
-			if s.cfg.PreemptRanking == RestartCost {
-				ex.t.RPT = ex.t.Runtime
-			} else {
-				ex.t.RPT = eff
-			}
-			union = append(union, ex.t)
-		}
-		prios := s.cfg.Policy.Priorities(now, union)
+		nr := s.loadContest(now)
+		prios := s.cfg.Policy.Priorities(now, s.contest)
+		s.restoreRPTs()
 		rankOps++
-
-		bestPending, worstRunning := -1, -1
-		for i, t := range union {
-			if t.State == task.Queued {
-				if bestPending < 0 || prios[i] > prios[bestPending] ||
-					(prios[i] == prios[bestPending] && t.ID < union[bestPending].ID) {
-					bestPending = i
-				}
-			} else if preemptable[t.ID] {
-				if worstRunning < 0 || prios[i] < prios[worstRunning] ||
-					(prios[i] == prios[worstRunning] && t.ID > union[worstRunning].ID) {
-					worstRunning = i
-				}
-			}
-		}
-
-		doSwap := bestPending >= 0 && worstRunning >= 0 &&
-			prios[bestPending] > prios[worstRunning]+preemptEpsilon
-		// Restore the true stored RPTs before acting; preempt() derives the
-		// victim's post-preemption RPT from its execution record.
-		for _, sv := range savedRPTs {
-			sv.ex.t.RPT = sv.rpt
-		}
-		if !doSwap {
+		best, worst := s.bestSwap(prios, nr)
+		if best < 0 {
 			return rankOps
 		}
-		s.preempt(union[worstRunning], now)
-		s.start(union[bestPending], now)
+		s.preempt(s.contest[worst], now)
+		s.start(s.contest[best], now)
 	}
 	return rankOps
+}
+
+// dispatchPerTask is dispatch for a preemptive site whose policy has
+// per-task priorities. One priority pass over the running and pending
+// tasks serves the whole event: it fills free processors from the pending
+// part with core.TopRanked, exactly as core.PlanStarts would, then runs
+// preemptIfBeneficial's swap loop on the same priorities. A task's price
+// depends only on itself and the instant, and within one event only the
+// tasks a start or swap moves change their ranking basis: a started task
+// is priced at its basis, a preempted one at its new RPT. So re-pricing
+// those alone makes every decision the one a full re-pricing would. It
+// reports the one ranking pass, or none when nothing is pending.
+func (s *Site) dispatchPerTask(now float64) int {
+	if len(s.pending) == 0 || (s.free == 0 && len(s.running) == 0) {
+		return 0
+	}
+	nr := s.loadContest(now)
+	prios := s.cfg.Policy.Priorities(now, s.contest)
+	s.restoreRPTs()
+
+	if k := min(s.free, len(s.contest)-nr); k > 0 {
+		s.picks = core.TopRanked(s.picks, prios[nr:], s.contest[nr:], k)
+		for _, i := range s.picks {
+			s.start(s.contest[nr+i], now)
+		}
+		// Move the started tasks to the front of the pending part, which
+		// then joins the running part. Taking them in index order, each
+		// swap only displaces an entry that is not a later pick.
+		slices.Sort(s.picks)
+		from := nr
+		for _, i := range s.picks {
+			j := from + i
+			s.contest[nr], s.contest[j] = s.contest[j], s.contest[nr]
+			prios[nr], prios[j] = prios[j], prios[nr]
+			nr++
+		}
+		if nr < len(s.contest) {
+			for _, t := range s.contest[from:nr] {
+				s.contenders = append(s.contenders, s.installBasis(s.running[t.ID], now))
+			}
+			copy(prios[from:nr], s.cfg.Policy.Priorities(now, s.contest[from:nr]))
+			s.restoreRPTs()
+		}
+	}
+
+	for {
+		best, worst := s.bestSwap(prios, nr)
+		if best < 0 {
+			return 1
+		}
+		victim, t := s.contest[worst], s.contest[best]
+		s.preempt(victim, now)
+		s.start(t, now)
+		// The two trade places: t runs at the victim's entry, priced at
+		// its basis, and the victim waits at t's, priced at its new RPT.
+		s.contest[worst], s.contest[best] = t, victim
+		s.contenders[worst] = s.installBasis(s.running[t.ID], now)
+		s.moved = [2]*task.Task{t, victim}
+		p := s.cfg.Policy.Priorities(now, s.moved[:])
+		t.RPT = s.contenders[worst].rpt
+		prios[worst], prios[best] = p[0], p[1]
+	}
 }
 
 // start dispatches a pending task onto a free processor.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -43,32 +44,41 @@ func unboundedSet(tasks []*task.Task) bool {
 // general form in O(n log n) — the paper's O(n^2) formulation is kept
 // behind forceGeneral for the ablation benchmark.
 func OpportunityCosts(now float64, tasks []*task.Task, forceGeneral bool) []float64 {
-	if forceGeneral {
-		return generalCosts(now, tasks)
-	}
-	if unboundedSet(tasks) {
-		return unboundedCosts(tasks)
-	}
-	return sortedCosts(now, tasks)
+	return opportunityCosts(nil, now, tasks, forceGeneral)
 }
 
-// unboundedCosts evaluates Equation 5: cost_i = RPT_i * (sum(d_j) - d_i).
-func unboundedCosts(tasks []*task.Task) []float64 {
-	var total float64
-	for _, t := range tasks {
-		total += t.Decay
-	}
-	costs := make([]float64, len(tasks))
-	for i, t := range tasks {
-		costs[i] = t.RPT * (total - t.Decay)
+// opportunityCosts is OpportunityCosts writing into dst's storage, under
+// the Policy.Priorities contract for dst.
+func opportunityCosts(dst []float64, now float64, tasks []*task.Task, forceGeneral bool) []float64 {
+	costs := resize(dst, len(tasks))
+	if forceGeneral {
+		generalCosts(costs, now, tasks)
+	} else if unboundedSet(tasks) {
+		unboundedCosts(costs, tasks)
+	} else {
+		sortedCosts(costs, now, tasks)
 	}
 	return costs
 }
 
-// generalCosts evaluates Equation 4 directly in O(n^2).
-func generalCosts(now float64, tasks []*task.Task) []float64 {
-	rem := remainingDecayTimes(now, tasks)
-	costs := make([]float64, len(tasks))
+// unboundedCosts evaluates Equation 5 into costs: cost_i = RPT_i *
+// (sum(d_j) - d_i).
+func unboundedCosts(costs []float64, tasks []*task.Task) {
+	var total float64
+	for _, t := range tasks {
+		total += t.Decay
+	}
+	for i, t := range tasks {
+		costs[i] = t.RPT * (total - t.Decay)
+	}
+}
+
+// generalCosts evaluates Equation 4 into costs directly in O(n^2).
+func generalCosts(costs []float64, now float64, tasks []*task.Task) {
+	scratch := costScratchPool.Get().(*costScratch)
+	defer costScratchPool.Put(scratch)
+	scratch.grow(len(tasks))
+	rem := scratch.remainingDecayTimes(now, tasks)
 	for i, ti := range tasks {
 		var c float64
 		for j, tj := range tasks {
@@ -79,13 +89,13 @@ func generalCosts(now float64, tasks []*task.Task) []float64 {
 		}
 		costs[i] = c
 	}
-	return costs
 }
 
-// costScratch holds the working buffers sortedCosts needs per call. The
-// kernel sits on the dispatch hot path and is invoked once per scheduling
-// event (or, for unstable policies, once per start), so the buffers are
-// pooled rather than reallocated; only the returned costs slice escapes.
+// costScratch holds the working buffers the Equation 4 kernels need per
+// call. The kernels sit on the dispatch hot path and are invoked once per
+// scheduling event (or, for unstable policies, once per start), so the
+// buffers are pooled rather than reallocated; the costs themselves go to
+// the caller's slice.
 type costScratch struct {
 	rem       []float64
 	prefixDR  []float64
@@ -98,40 +108,48 @@ var costScratchPool = sync.Pool{New: func() any { return new(costScratch) }}
 
 // grow readies the scratch buffers for n tasks, reusing capacity.
 func (s *costScratch) grow(n int) {
-	if cap(s.rem) < n {
-		s.rem = make([]float64, n)
-		s.sortedRem = make([]float64, n)
-		s.prefixDR = make([]float64, n+1)
-		s.prefixD = make([]float64, n+1)
-		s.order = make([]int, n)
-	}
-	s.rem = s.rem[:n]
-	s.sortedRem = s.sortedRem[:n]
-	s.prefixDR = s.prefixDR[:n+1]
-	s.prefixD = s.prefixD[:n+1]
-	s.order = s.order[:n]
+	s.rem = resize(s.rem, n)
+	s.sortedRem = resize(s.sortedRem, n)
+	s.prefixDR = resize(s.prefixDR, n+1)
+	s.prefixD = resize(s.prefixD, n+1)
+	s.order = resize(s.order, n)
 }
 
-// sortedCosts evaluates Equation 4 in O(n log n). Sort competing tasks by
-// remaining decay time r_j; for a candidate with remaining work R, tasks
-// with r_j <= R contribute d_j*r_j and the rest contribute d_j*R, both
-// available from prefix sums after the sort.
-func sortedCosts(now float64, tasks []*task.Task) []float64 {
-	n := len(tasks)
+// remainingDecayTimes fills s.rem with each task's remaining decay time.
+func (s *costScratch) remainingDecayTimes(now float64, tasks []*task.Task) []float64 {
+	for j, t := range tasks {
+		s.rem[j] = t.RemainingDecayTime(now)
+	}
+	return s.rem
+}
+
+// sortedCosts evaluates Equation 4 into costs in O(n log n). Sort
+// competing tasks by remaining decay time r_j; for a candidate with
+// remaining work R, tasks with r_j <= R contribute d_j*r_j and the rest
+// contribute d_j*R, both available from prefix sums after the sort.
+func sortedCosts(costs []float64, now float64, tasks []*task.Task) {
 	scratch := costScratchPool.Get().(*costScratch)
 	defer costScratchPool.Put(scratch)
-	scratch.grow(n)
-
-	rem := scratch.rem
-	for j, t := range tasks {
-		rem[j] = t.RemainingDecayTime(now)
-	}
+	scratch.grow(len(tasks))
+	rem := scratch.remainingDecayTimes(now, tasks)
 
 	order := scratch.order
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return rem[order[a]] < rem[order[b]] })
+	// slices.SortFunc runs the same pattern-defeating quicksort as
+	// sort.Slice, asking only whether cmp < 0, so ties in rem keep
+	// sort.Slice's order, and the sums below their accumulation order,
+	// without sort.Slice's allocations.
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case rem[a] < rem[b]:
+			return -1
+		case rem[a] > rem[b]:
+			return 1
+		}
+		return 0
+	})
 
 	// prefixDR[k] = sum of d_j*r_j over the first k tasks in remaining-time
 	// order (capped terms); prefixD[k] = sum of d_j over the same tasks.
@@ -157,7 +175,6 @@ func sortedCosts(now float64, tasks []*task.Task) []float64 {
 		sortedRem[k] = rem[idx]
 	}
 
-	costs := make([]float64, n)
 	for i, ti := range tasks {
 		r := ti.RPT
 		// Tasks with rem <= r contribute d*rem; the rest contribute d*r.
@@ -169,13 +186,4 @@ func sortedCosts(now float64, tasks []*task.Task) []float64 {
 		cost -= ti.Decay * math.Min(r, rem[i])
 		costs[i] = cost
 	}
-	return costs
-}
-
-func remainingDecayTimes(now float64, tasks []*task.Task) []float64 {
-	rem := make([]float64, len(tasks))
-	for j, t := range tasks {
-		rem[j] = t.RemainingDecayTime(now)
-	}
-	return rem
 }

@@ -111,10 +111,10 @@ func pqueueWithTask(c *Candidate, t *task.Task) (Insertion, bool) {
 }
 
 // oracleScheduledPrice is ScheduledPrice pricing each task from the
-// pqueue candidate's ID map.
+// pqueue candidate's ID map. It ignores dst and always allocates.
 type oracleScheduledPrice struct{ ScheduledPrice }
 
-func (p oracleScheduledPrice) Priorities(now float64, tasks []*task.Task) []float64 {
+func (p oracleScheduledPrice) Priorities(_ []float64, now float64, tasks []*task.Task) []float64 {
 	n := len(tasks)
 	prios := make([]float64, n)
 	if n == 0 {
@@ -356,8 +356,8 @@ func TestScheduledPriceMatchesMapOracle(t *testing.T) {
 			for _, n := range []int{1, 5, 80} {
 				p := ScheduledPrice{Processors: procs}
 				pending := oracleBook(rng, kind, n)
-				got := p.Priorities(now, pending)
-				want := oracleScheduledPrice{p}.Priorities(now, pending)
+				got := p.Priorities(nil, now, pending)
+				want := oracleScheduledPrice{p}.Priorities(nil, now, pending)
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("%v procs=%d n=%d: priority[%d] = %v, want %v", kind, procs, n, i, got[i], want[i])

@@ -33,7 +33,7 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 	}
 
 	if StableUnderRemoval(policy, pending) {
-		top := TopRanked(nil, policy.Priorities(now, pending), pending, n)
+		top := TopRanked(nil, policy.Priorities(nil, now, pending), pending, n)
 		starts = make([]*task.Task, n)
 		for i, j := range top {
 			starts[i] = pending[j]
@@ -45,11 +45,12 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 	// working copy shrinks with order-preserving removal so Priorities sees
 	// the tasks in the same slice order the seed's pending queue would
 	// have, keeping floating-point accumulation — and therefore selection —
-	// bit-identical to the seed.
+	// bit-identical to the seed. One priority buffer serves every pass.
 	rest := append([]*task.Task(nil), pending...)
 	starts = make([]*task.Task, 0, n)
+	var prios []float64
 	for len(starts) < n {
-		prios := policy.Priorities(now, rest)
+		prios = policy.Priorities(prios, now, rest)
 		rankOps++
 		best := 0
 		for i := 1; i < len(rest); i++ {

@@ -20,9 +20,15 @@ import (
 // run first. Policies receive the entire competing set at once so that
 // heuristics with cross-task terms (opportunity cost) can share work across
 // tasks.
+//
+// Priorities writes its result into dst's storage, growing it (as append
+// does) only when its capacity is short of len(tasks), and returns it
+// resliced to len(tasks). It never reads dst's old contents, so a caller
+// keeps one buffer, dirty or not, across calls; a nil dst allocates. The
+// result is the caller's until the next call on the same buffer.
 type Policy interface {
 	Name() string
-	Priorities(now float64, tasks []*task.Task) []float64
+	Priorities(dst []float64, now float64, tasks []*task.Task) []float64
 }
 
 // StableRanker is an optional Policy capability. A policy reports
@@ -98,8 +104,8 @@ type FCFS struct{}
 func (FCFS) Name() string { return "FCFS" }
 
 // Priorities implements Policy: earlier arrivals get higher priority.
-func (FCFS) Priorities(_ float64, tasks []*task.Task) []float64 {
-	p := make([]float64, len(tasks))
+func (FCFS) Priorities(dst []float64, _ float64, tasks []*task.Task) []float64 {
+	p := resize(dst, len(tasks))
 	for i, t := range tasks {
 		p[i] = -t.Arrival
 	}
@@ -123,8 +129,8 @@ func (SRPT) Name() string { return "SRPT" }
 
 // Priorities implements Policy: shorter remaining time gets higher
 // priority.
-func (SRPT) Priorities(_ float64, tasks []*task.Task) []float64 {
-	p := make([]float64, len(tasks))
+func (SRPT) Priorities(dst []float64, _ float64, tasks []*task.Task) []float64 {
+	p := resize(dst, len(tasks))
 	for i, t := range tasks {
 		p[i] = -t.RPT
 	}
@@ -150,8 +156,8 @@ func (SWPT) Name() string { return "SWPT" }
 
 // Priorities implements Policy: higher decay per unit of remaining work
 // gets higher priority.
-func (SWPT) Priorities(_ float64, tasks []*task.Task) []float64 {
-	p := make([]float64, len(tasks))
+func (SWPT) Priorities(dst []float64, _ float64, tasks []*task.Task) []float64 {
+	p := resize(dst, len(tasks))
 	for i, t := range tasks {
 		p[i] = t.Decay / t.RPT
 	}
@@ -176,8 +182,8 @@ type FirstPrice struct{}
 func (FirstPrice) Name() string { return "FirstPrice" }
 
 // Priorities implements Policy.
-func (FirstPrice) Priorities(now float64, tasks []*task.Task) []float64 {
-	p := make([]float64, len(tasks))
+func (FirstPrice) Priorities(dst []float64, now float64, tasks []*task.Task) []float64 {
+	p := resize(dst, len(tasks))
 	for i, t := range tasks {
 		p[i] = t.ExpectedYield(now) / t.RPT
 	}
@@ -205,8 +211,8 @@ type PresentValue struct {
 func (p PresentValue) Name() string { return fmt.Sprintf("PV(rate=%g)", p.DiscountRate) }
 
 // Priorities implements Policy.
-func (p PresentValue) Priorities(now float64, tasks []*task.Task) []float64 {
-	out := make([]float64, len(tasks))
+func (p PresentValue) Priorities(dst []float64, now float64, tasks []*task.Task) []float64 {
+	out := resize(dst, len(tasks))
 	for i, t := range tasks {
 		out[i] = PV(t, now, p.DiscountRate) / t.RPT
 	}
@@ -252,12 +258,12 @@ func (p FirstReward) Name() string {
 	return fmt.Sprintf("FirstReward(alpha=%g,rate=%g)", p.Alpha, p.DiscountRate)
 }
 
-// Priorities implements Policy.
-func (p FirstReward) Priorities(now float64, tasks []*task.Task) []float64 {
-	costs := OpportunityCosts(now, tasks, p.ForceGeneralCost)
-	out := make([]float64, len(tasks))
+// Priorities implements Policy. The opportunity costs land in dst's
+// storage and each becomes its task's reward in place.
+func (p FirstReward) Priorities(dst []float64, now float64, tasks []*task.Task) []float64 {
+	out := opportunityCosts(dst, now, tasks, p.ForceGeneralCost)
 	for i, t := range tasks {
-		out[i] = (p.Alpha*PV(t, now, p.DiscountRate) - (1-p.Alpha)*costs[i]) / t.RPT
+		out[i] = (p.Alpha*PV(t, now, p.DiscountRate) - (1-p.Alpha)*out[i]) / t.RPT
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/task"
@@ -117,7 +119,7 @@ func TestPVDiscountPrefersShortTask(t *testing.T) {
 	// PV at any positive rate prefers the short task.
 	long := mk(1, 0, 100, 1000, 1)
 	short := mk(2, 0, 10, 100, 1)
-	prios := PresentValue{DiscountRate: 0.01}.Priorities(0, []*task.Task{long, short})
+	prios := PresentValue{DiscountRate: 0.01}.Priorities(nil, 0, []*task.Task{long, short})
 	if prios[1] <= prios[0] {
 		t.Errorf("PV priorities: short %v should exceed long %v", prios[1], prios[0])
 	}
@@ -199,8 +201,136 @@ func TestPolicyNames(t *testing.T) {
 
 func TestEmptyPriorities(t *testing.T) {
 	for _, p := range []Policy{FCFS{}, SRPT{}, SWPT{}, FirstPrice{}, PresentValue{}, FirstReward{}} {
-		if got := p.Priorities(0, nil); len(got) != 0 {
+		if got := p.Priorities(nil, 0, nil); len(got) != 0 {
 			t.Errorf("%s Priorities(nil) = %v, want empty", p.Name(), got)
+		}
+	}
+}
+
+// namedBook is a pending queue with a name for test failures.
+type namedBook struct {
+	name string
+	book []*task.Task
+}
+
+// priceBooks returns the books the Priorities tests price: random,
+// tie-heavy and duplicate-ID unbounded books, a random bounded book, a
+// tie-heavy bounded one whose remaining decay times tie, and a mix of
+// bounded and unbounded penalties.
+func priceBooks(rng *rand.Rand, n int) []namedBook {
+	boundedTies := oracleBook(rng, tieBook, n)
+	for _, tk := range boundedTies {
+		tk.Bound = 150
+	}
+	mixed := oracleBook(rng, boundedBook, n)
+	for _, tk := range mixed {
+		if rng.Intn(2) == 0 {
+			tk.Bound = math.Inf(1)
+		}
+	}
+	return []namedBook{
+		{"random", oracleBook(rng, distinctBook, n)},
+		{"ties", oracleBook(rng, tieBook, n)},
+		{"duplicate-ids", oracleBook(rng, duplicateBook, n)},
+		{"bounded", oracleBook(rng, boundedBook, n)},
+		{"bounded-ties", boundedTies},
+		{"mixed", mixed},
+	}
+}
+
+// TestPrioritiesIntoMatchesFresh: for every shipped policy, pricing into a
+// caller's buffer gives, bit for bit, what pricing into nil gives, however
+// dirty the buffer: pre-filled with NaN, short with spare capacity behind
+// it, too small to hold the result, or a sub-slice of a larger buffer,
+// as the site re-prices its started tasks in place. The result lands in
+// the buffer's storage whenever it fits, and nothing outside it is
+// written.
+func TestPrioritiesIntoMatchesFresh(t *testing.T) {
+	const now = 60.0
+	rng := rand.New(rand.NewSource(73))
+	for _, p := range planPolicies() {
+		for _, n := range []int{0, 1, 7, 120} {
+			for _, b := range priceBooks(rng, n) {
+				want := p.Priorities(nil, now, b.book)
+				if len(want) != n {
+					t.Fatalf("%s %s n=%d: Priorities(nil) returned %d priorities", p.Name(), b.name, n, len(want))
+				}
+				nan := make([]float64, n)
+				for i := range nan {
+					nan[i] = math.NaN()
+				}
+				spare := make([]float64, 2*n+3)
+				for i := range spare {
+					spare[i] = rng.NormFloat64() * 1e6
+				}
+				short := make([]float64, n/2, n/2+1)
+				for i := range short {
+					short[i] = math.Inf(-1)
+				}
+				big := make([]float64, n+8)
+				for i := range big {
+					big[i] = -1
+				}
+				for _, c := range []struct {
+					what    string
+					dst     []float64
+					inPlace bool
+				}{
+					{"NaN-filled", nan, true},
+					{"spare capacity", spare[:rng.Intn(n+1)], true},
+					{"too small", short, false},
+					{"sub-slice", big[4 : 4+n : 4+n], true},
+				} {
+					name := fmt.Sprintf("%s %s n=%d into %s", p.Name(), b.name, n, c.what)
+					got := p.Priorities(c.dst, now, b.book)
+					if len(got) != n {
+						t.Fatalf("%s: %d priorities, want %d", name, len(got), n)
+					}
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s: priority[%d] = %v, want %v", name, i, got[i], want[i])
+						}
+					}
+					if c.inPlace && n > 0 && &got[0] != &c.dst[:1][0] {
+						t.Fatalf("%s: result does not use dst's storage", name)
+					}
+				}
+				for _, i := range []int{0, 1, 2, 3, n + 4, n + 5, n + 6, n + 7} {
+					if big[i] != -1 {
+						t.Fatalf("%s %s n=%d: pricing into big[4:%d] wrote big[%d]", p.Name(), b.name, n, 4+n, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPrioritiesAllocs is the allocation guard on the priority pass: with
+// a warm buffer, pricing a book allocates nothing at any depth, for every
+// per-task policy and for FirstReward over unbounded (Equation 5) and
+// bounded (Equation 4) penalties. Skipped under the race detector, whose
+// instrumentation allocates.
+func TestPrioritiesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by the race detector")
+	}
+	fr := FirstReward{Alpha: 0.3, DiscountRate: 0.01}
+	for _, c := range []struct {
+		p       Policy
+		bounded bool
+	}{
+		{FCFS{}, false}, {SRPT{}, false}, {SWPT{}, false}, {FirstPrice{}, false},
+		{PresentValue{DiscountRate: 0.01}, false}, {fr, false}, {fr, true},
+	} {
+		for _, n := range []int{100, 2000} {
+			tasks := planTasks(n, c.bounded, int64(n))
+			var dst []float64
+			if allocs := testing.AllocsPerRun(20, func() {
+				dst = c.p.Priorities(dst, 1000, tasks)
+			}); allocs != 0 {
+				t.Errorf("%s bounded=%v n=%d: Priorities allocates %.1f times per op with a warm buffer, want 0",
+					c.p.Name(), c.bounded, n, allocs)
+			}
 		}
 	}
 }

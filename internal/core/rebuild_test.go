@@ -180,7 +180,7 @@ func TestRankStartIndependent(t *testing.T) {
 		for _, kind := range oracleKinds() {
 			for _, n := range []int{0, 1, 2, 25, 300} {
 				book := oracleBook(rng, kind, n)
-				prios := p.Priorities(now, book)
+				prios := p.Priorities(nil, now, book)
 				want := make([]int, n)
 				for i := range want {
 					want[i] = i

@@ -59,8 +59,9 @@ type Candidate struct {
 	listed bool
 
 	// Rebuild scratch, kept between rebuilds.
-	at   []int     // per index of the previous book: its rank, then its index in the new book
-	free freeTimes // processor free times while list-scheduling
+	at    []int     // per index of the previous book: its rank, then its index in the new book
+	prios []float64 // the book's priorities, aligned with it
+	free  freeTimes // processor free times while list-scheduling
 }
 
 // BuildCandidate constructs a candidate schedule. busyUntil holds one entry
@@ -86,11 +87,13 @@ func BuildCandidate(policy Policy, now float64, procs int, busyUntil []float64, 
 // costs one priority pass plus a sort of an almost ranked sequence. The
 // start is best when pending changed from c's book only by
 // order-preserving removals and appends, as a site's queue does between
-// quotes. Apart from the priorities the policy returns, a rebuild
-// allocates only when the book or busyUntil outgrows c's storage.
+// quotes. The policy prices the book into c's own buffer, so a rebuild
+// allocates only when the book or busyUntil outgrows c's storage (or the
+// policy allocates scratch of its own, as ScheduledPrice does).
 func (c *Candidate) Rebuild(now float64, procs int, busyUntil []float64, pending []*task.Task) {
 	c.warmStart(pending)
-	rankWithPriorities(c.keys, c.policy.Priorities(now, pending), pending)
+	c.prios = c.policy.Priorities(c.prios, now, pending)
+	rankWithPriorities(c.keys, c.prios, pending)
 	c.tasks = resize(c.tasks, len(pending))
 	for i, k := range c.keys {
 		c.tasks[i] = pending[k.idx]
@@ -275,7 +278,7 @@ func (h freeTimes) down(i int) {
 // candidate schedules are deterministic.
 func RankOrder(policy Policy, now float64, pending []*task.Task) []*task.Task {
 	keys := identityKeys(len(pending))
-	rankWithPriorities(keys, policy.Priorities(now, pending), pending)
+	rankWithPriorities(keys, policy.Priorities(nil, now, pending), pending)
 	out := make([]*task.Task, len(keys))
 	for i, k := range keys {
 		out[i] = pending[k.idx]

@@ -44,10 +44,11 @@ func (p ScheduledPrice) effRounds() int {
 	return p.Rounds
 }
 
-// Priorities implements Policy.
-func (p ScheduledPrice) Priorities(now float64, tasks []*task.Task) []float64 {
+// Priorities implements Policy. The prices land in dst's storage; the
+// refinement's rank keys and candidate schedule are allocated per call.
+func (p ScheduledPrice) Priorities(dst []float64, now float64, tasks []*task.Task) []float64 {
 	n := len(tasks)
-	prios := make([]float64, n)
+	prios := resize(dst, n)
 	if n == 0 {
 		return prios
 	}

@@ -153,14 +153,16 @@ type Site struct {
 	baseNow     float64
 	baseVersion uint64
 
-	// Scratch reused across events, so a steady-state event allocates
-	// only the priorities its policy returns. contest holds the tasks
-	// competing for processors in one preemption decision, running ones
-	// first with their state in contenders; busy backs busyUntil.
+	// Scratch reused across events. contest holds the tasks competing
+	// for processors in one preemption decision, running ones first with
+	// their state in contenders, and prios their priorities; a swap
+	// re-prices its two moved tasks into movedPrios. busy backs busyUntil.
 	contest    []*task.Task
 	contenders []contender
+	prios      []float64
 	picks      []int
 	moved      [2]*task.Task
+	movedPrios [2]float64
 	busy       []float64
 
 	metrics Metrics
@@ -482,10 +484,10 @@ func (s *Site) bestSwap(prios []float64, nr int) (best, worst int) {
 func (s *Site) preemptIfBeneficial(now float64) (rankOps int) {
 	for len(s.pending) > 0 && len(s.running) > 0 {
 		nr := s.loadContest(now)
-		prios := s.cfg.Policy.Priorities(now, s.contest)
+		s.prios = s.cfg.Policy.Priorities(s.prios, now, s.contest)
 		s.restoreRPTs()
 		rankOps++
-		best, worst := s.bestSwap(prios, nr)
+		best, worst := s.bestSwap(s.prios, nr)
 		if best < 0 {
 			return rankOps
 		}
@@ -510,7 +512,8 @@ func (s *Site) dispatchPerTask(now float64) int {
 		return 0
 	}
 	nr := s.loadContest(now)
-	prios := s.cfg.Policy.Priorities(now, s.contest)
+	s.prios = s.cfg.Policy.Priorities(s.prios, now, s.contest)
+	prios := s.prios
 	s.restoreRPTs()
 
 	if k := min(s.free, len(s.contest)-nr); k > 0 {
@@ -533,7 +536,8 @@ func (s *Site) dispatchPerTask(now float64) int {
 			for _, t := range s.contest[from:nr] {
 				s.contenders = append(s.contenders, s.installBasis(s.running[t.ID], now))
 			}
-			copy(prios[from:nr], s.cfg.Policy.Priorities(now, s.contest[from:nr]))
+			// Capped at its length, the sub-slice is re-priced in place.
+			s.cfg.Policy.Priorities(prios[from:nr:nr], now, s.contest[from:nr])
 			s.restoreRPTs()
 		}
 	}
@@ -551,7 +555,7 @@ func (s *Site) dispatchPerTask(now float64) int {
 		s.contest[worst], s.contest[best] = t, victim
 		s.contenders[worst] = s.installBasis(s.running[t.ID], now)
 		s.moved = [2]*task.Task{t, victim}
-		p := s.cfg.Policy.Priorities(now, s.moved[:])
+		p := s.cfg.Policy.Priorities(s.movedPrios[:0], now, s.moved[:])
 		t.RPT = s.contenders[worst].rpt
 		prios[worst], prios[best] = p[0], p[1]
 	}

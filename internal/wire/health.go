@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -220,7 +220,8 @@ func (h *siteHealth) takeRetryToken() bool {
 // hedgeDelay prices the adaptive hedge: the hedgeQuantile of the site's
 // recent call latencies, clamped to [hedgeDelayMin, hedgeDelayMax]. With
 // no history yet it returns the cap — hedging only helps once the site
-// has shown what "normal" looks like.
+// has shown what "normal" looks like. The window is sorted in a stack
+// copy, so pricing a hedge does not allocate.
 func (h *siteHealth) hedgeDelay() time.Duration {
 	h.mu.Lock()
 	n := h.nLat
@@ -231,7 +232,7 @@ func (h *siteHealth) hedgeDelay() time.Duration {
 		return hedgeDelayMax
 	}
 	lats := window[:n]
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	slices.Sort(lats)
 	d := lats[int(float64(n-1)*hedgeQuantile)]
 	if d < hedgeDelayMin {
 		return hedgeDelayMin

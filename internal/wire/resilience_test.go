@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -173,6 +176,52 @@ func TestHedgeDelayAdapts(t *testing.T) {
 	}
 	if d := h2.hedgeDelay(); d != 20*time.Millisecond {
 		t.Errorf("hedge delay = %v, want the 20ms quantile", d)
+	}
+}
+
+// TestHedgeDelayMatchesSortSlice: the hedge delay is the element
+// sort.Slice's quantile picked, clamped as before, on random windows full
+// and not yet full, with few distinct latencies (many ties) and many,
+// below the floor, within the clamps and above the cap.
+func TestHedgeDelayMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	scales := []time.Duration{100 * time.Microsecond, 3 * time.Millisecond, 20 * time.Millisecond}
+	for trial := 0; trial < 2000; trial++ {
+		h, _ := testHealth(3, time.Second, 0.25)
+		n := rng.Intn(latWindow + 1)
+		distinct := 1 + rng.Intn(2*latWindow)
+		scale := scales[rng.Intn(len(scales))]
+		for i := 0; i < n; i++ {
+			h.lat[i] = time.Duration(1+rng.Intn(distinct)) * scale
+		}
+		h.nLat, h.latHead = n, n%latWindow
+		want := hedgeDelayMax
+		if n > 0 {
+			lats := slices.Clone(h.lat[:n])
+			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+			want = min(max(lats[int(float64(n-1)*hedgeQuantile)], hedgeDelayMin), hedgeDelayMax)
+		}
+		if got := h.hedgeDelay(); got != want {
+			t.Fatalf("trial %d (n=%d, %d distinct × %v): hedge delay %v, want %v", trial, n, distinct, scale, got, want)
+		}
+	}
+}
+
+// TestHedgeDelayAllocs is the allocation guard on hedge pricing, which
+// runs on every site call: sorting the window's stack copy allocates
+// nothing. Skipped under the race detector, whose instrumentation
+// allocates.
+func TestHedgeDelayAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by the race detector")
+	}
+	h, _ := testHealth(3, time.Second, 0.25)
+	rng := rand.New(rand.NewSource(101))
+	for i := 0; i < latWindow; i++ {
+		h.onResult(true, time.Duration(5+rng.Intn(10))*time.Millisecond, false)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.hedgeDelay() }); allocs != 0 {
+		t.Errorf("hedgeDelay allocates %.1f times per call, want 0", allocs)
 	}
 }
 
